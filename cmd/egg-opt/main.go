@@ -243,11 +243,11 @@ func run(opts options) (err error) {
 				ProfileSample: opts.profileSample,
 				Recorder:      rec,
 				Scheduler:     scheduler,
+				SnapshotEvery: opts.snapshotEvery,
 			},
 			KeepEggProgram:    opts.emitEgg,
 			ExplainRewrites:   opts.explain,
 			Journal:           jw,
-			SnapshotEvery:     opts.snapshotEvery,
 			ExplainExtraction: opts.explainExtr,
 			Blame:             opts.profileFile != "",
 		})

@@ -21,9 +21,9 @@
 //
 // Every request carries a correlation ID: an inbound X-Request-Id is
 // honored, otherwise one is generated at ingress; the ID is echoed on
-// the response and stamped on log lines, trace spans, and journal
-// events. Structured request logs go to stderr (-log text|json|off);
-// requests slower than -slow-ms log at Warn. The engine health watchdog
+// the response and stamped on log lines and trace spans. Structured
+// request logs go to stderr (-log text|json|off); requests slower than
+// -slow-ms log at Warn. The engine health watchdog
 // (-watchdog-growth, -watchdog-window, -watchdog-mem-mb) flags
 // saturation explosions into egg_watchdog_trips_total and the flight
 // recorder.

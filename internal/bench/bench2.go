@@ -65,11 +65,11 @@ func runBench2Mode(b *Benchmark, naive bool, scheduler sched.Scheduler) (Bench2M
 	}
 	cfg := b.RunConfig
 	cfg.Scheduler = scheduler
+	cfg.Naive = naive
 	opt := dialegg.NewOptimizer(dialegg.Options{
 		RuleSources: b.Rules,
 		RunConfig:   cfg,
 		Workers:     1,
-		Naive:       naive,
 	})
 	rep, err := opt.OptimizeModule(m)
 	if err != nil {

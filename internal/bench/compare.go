@@ -32,9 +32,7 @@ type CompareRow struct {
 	NewIters int `json:"new_iters"`
 	// OldSchedRows/NewSchedRows gate the scheduled (reference-backoff)
 	// run's row visits; OldThrottled/NewThrottled and
-	// OldLimited/NewLimited its deterministic intervention counts. All
-	// zero when the baseline artifact predates the scheduled column
-	// (BENCH_3.json and older), in which case they are not gated.
+	// OldLimited/NewLimited its deterministic intervention counts.
 	OldSchedRows int64 `json:"old_sched_rows,omitempty"`
 	NewSchedRows int64 `json:"new_sched_rows,omitempty"`
 	OldThrottled int64 `json:"old_throttled,omitempty"`
@@ -49,8 +47,8 @@ type CompareRow struct {
 	NewMatchMS float64 `json:"new_match_ms"`
 }
 
-// ReadBench2JSON reads a bench2 measurement artifact (BENCH_2.json /
-// BENCH_3.json shape).
+// ReadBench2JSON reads a bench2 measurement artifact (the committed
+// BENCH_4.json baseline or a fresh `benchtab -bench2` bench2_fresh.json).
 func ReadBench2JSON(path string) ([]Bench2Row, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -109,28 +107,24 @@ func CompareBench2(oldRows, newRows []Bench2Row, tolerance float64) ([]CompareRo
 			OldMatchMS: o.SemiNaive.MatchMS,
 			NewMatchMS: n.SemiNaive.MatchMS,
 		}
-		// Old artifacts without the scheduled column deserialize to a zero
-		// Sched mode; skip the scheduler gates for those rows.
-		if o.Sched.Iterations > 0 {
-			row.OldSchedRows = o.Sched.RowsScanned
-			row.NewSchedRows = n.Sched.RowsScanned
-			row.OldThrottled = o.Sched.Throttled
-			row.NewThrottled = n.Sched.Throttled
-			row.OldLimited = o.Sched.Limited
-			row.NewLimited = n.Sched.Limited
-			row.SchedDelta = delta(row.OldSchedRows, row.NewSchedRows)
-			if row.SchedDelta > tolerance {
-				regressions = append(regressions, fmt.Sprintf("%s: scheduled rows scanned %d -> %d (%+.1f%% > %.1f%% tolerance)",
-					o.Benchmark, row.OldSchedRows, row.NewSchedRows, 100*row.SchedDelta, 100*tolerance))
-			}
-			if row.OldThrottled != row.NewThrottled {
-				regressions = append(regressions, fmt.Sprintf("%s: scheduler throttle count %d -> %d (backoff behavior changed)",
-					o.Benchmark, row.OldThrottled, row.NewThrottled))
-			}
-			if row.OldLimited != row.NewLimited {
-				regressions = append(regressions, fmt.Sprintf("%s: scheduler cap count %d -> %d (truncation behavior changed)",
-					o.Benchmark, row.OldLimited, row.NewLimited))
-			}
+		row.OldSchedRows = o.Sched.RowsScanned
+		row.NewSchedRows = n.Sched.RowsScanned
+		row.OldThrottled = o.Sched.Throttled
+		row.NewThrottled = n.Sched.Throttled
+		row.OldLimited = o.Sched.Limited
+		row.NewLimited = n.Sched.Limited
+		row.SchedDelta = delta(row.OldSchedRows, row.NewSchedRows)
+		if row.SchedDelta > tolerance {
+			regressions = append(regressions, fmt.Sprintf("%s: scheduled rows scanned %d -> %d (%+.1f%% > %.1f%% tolerance)",
+				o.Benchmark, row.OldSchedRows, row.NewSchedRows, 100*row.SchedDelta, 100*tolerance))
+		}
+		if row.OldThrottled != row.NewThrottled {
+			regressions = append(regressions, fmt.Sprintf("%s: scheduler throttle count %d -> %d (backoff behavior changed)",
+				o.Benchmark, row.OldThrottled, row.NewThrottled))
+		}
+		if row.OldLimited != row.NewLimited {
+			regressions = append(regressions, fmt.Sprintf("%s: scheduler cap count %d -> %d (truncation behavior changed)",
+				o.Benchmark, row.OldLimited, row.NewLimited))
 		}
 		row.RowsDelta = delta(row.OldRows, row.NewRows)
 		row.TailDelta = delta(row.OldTail, row.NewTail)

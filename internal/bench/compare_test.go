@@ -66,14 +66,6 @@ func TestCompareBench2Gate(t *testing.T) {
 		t.Errorf("cap-count change not flagged: %v", regs)
 	}
 
-	// A baseline without the scheduled column (pre-BENCH_4 artifact) never
-	// trips the scheduler gates, whatever the new measurement says.
-	old := compareFixture()
-	old[0].Sched = Bench2Mode{}
-	if _, regs := CompareBench2(old, schedRows, 0.05); len(regs) != 0 {
-		t.Errorf("pre-sched baseline tripped scheduler gates: %v", regs)
-	}
-
 	rows, _ := CompareBench2(base, compareFixture(), 0.05)
 	table := FormatCompare(rows)
 	for _, want := range []string{"Poly", "NMM", "deterministic"} {

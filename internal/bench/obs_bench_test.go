@@ -14,6 +14,7 @@ import (
 	"dialegg/internal/obs/journal"
 	"dialegg/internal/obs/telemetry"
 	"dialegg/internal/rules"
+	"dialegg/internal/sched"
 )
 
 // liveGauges is the benchmark's stand-in for the serving layer's
@@ -36,17 +37,17 @@ func newLiveGauges() *liveGauges {
 	}
 }
 
-func (l *liveGauges) LiveIter(st egraph.LiveIterStats, rules []egraph.LiveRuleStats) {
-	l.iter.Set(float64(st.Iter))
+func (l *liveGauges) LiveIter(iter int, st *egraph.IterStats, rules []sched.RuleIterStats) {
+	l.iter.Set(float64(iter))
 	l.nodes.Set(float64(st.Nodes))
 	l.classes.Set(float64(st.Classes))
 	l.rows.Set(float64(st.LiveRows))
 	for _, r := range rules {
 		if r.Matched > 0 {
-			l.matched.With(r.Name).Add(uint64(r.Matched))
+			l.matched.With(r.Rule).Add(uint64(r.Matched))
 		}
 		if r.Applied > 0 {
-			l.applied.With(r.Name).Add(uint64(r.Applied))
+			l.applied.With(r.Rule).Add(uint64(r.Applied))
 		}
 	}
 }
@@ -147,13 +148,13 @@ func BenchmarkJournalOverhead(b *testing.B) {
 					opts := dialegg.Options{
 						RuleSources: rules.MatmulChain(),
 						RunConfig: egraph.RunConfig{
-							NodeLimit:  2_000_000,
-							MatchLimit: 2_000_000,
-							TimeLimit:  240 * time.Second,
-							IterLimit:  120,
-							Workers:    1,
+							NodeLimit:     2_000_000,
+							MatchLimit:    2_000_000,
+							TimeLimit:     240 * time.Second,
+							IterLimit:     120,
+							Workers:       1,
+							SnapshotEvery: mode.snapshots,
 						},
-						SnapshotEvery: mode.snapshots,
 					}
 					if mode.journaled {
 						opts.Journal = journal.NewWriter(io.Discard)

@@ -34,8 +34,8 @@ func TestJournalEndToEnd(t *testing.T) {
 	jw := journal.NewWriter(&buf)
 	opt := NewOptimizer(Options{
 		RuleSources:       rules.ImgConv(),
+		RunConfig:         egraph.RunConfig{SnapshotEvery: 1},
 		Journal:           jw,
-		SnapshotEvery:     1,
 		ExplainExtraction: true,
 	})
 	rep, err := opt.OptimizeModule(m)

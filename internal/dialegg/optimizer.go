@@ -26,11 +26,6 @@ type Options struct {
 	// (0 = GOMAXPROCS, 1 = serial). A non-zero RunConfig.Workers wins.
 	// Extraction results are identical for every worker count.
 	Workers int
-	// Naive disables semi-naive (delta-frontier) rule matching, making
-	// every iteration re-match the full database. Results are identical
-	// either way; naive exists as an escape hatch and for benchmarking.
-	// A set RunConfig.Naive wins.
-	Naive bool
 	// KeepEggProgram stores the generated egglog program text in the
 	// report (for debugging and the egg-opt --emit-egg flag).
 	KeepEggProgram bool
@@ -43,12 +38,9 @@ type Options struct {
 	ExplainRewrites bool
 	// Journal, when non-nil, records every e-graph mutation as an event
 	// journal; each optimized function opens its own graph segment labeled
-	// with the function name, replayable with egg-debug.
+	// with the function name, replayable with egg-debug. Set
+	// RunConfig.SnapshotEvery to embed e-graph snapshots in it.
 	Journal *journal.Writer
-	// SnapshotEvery embeds a full e-graph snapshot in the journal after
-	// every N-th saturation iteration's rebuild (0 = none); only meaningful
-	// with Journal set.
-	SnapshotEvery int
 	// ExplainExtraction attaches, per rewritten operation, a report of the
 	// extraction decision for its replacement: the chosen node with its
 	// cost breakdown, rejected alternatives, and the creating rule of every
@@ -203,11 +195,11 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 	p.RunDefaults.Recorder = rec
 	p.RunDefaults.RuleMetrics = o.opts.RunConfig.RuleMetrics
 	p.RunDefaults.ProfileSample = o.opts.RunConfig.ProfileSample
+	p.RunDefaults.SnapshotEvery = o.opts.RunConfig.SnapshotEvery
 	if o.opts.Journal.Enabled() {
 		// Attach before any declarations so the function's graph segment
 		// captures the prelude onward and is replayable from scratch.
 		p.SetJournal(o.opts.Journal, mlir.FuncName(f))
-		p.RunDefaults.SnapshotEvery = o.opts.SnapshotEvery
 	}
 	if o.opts.ExplainRewrites {
 		p.Graph().EnableExplanations()
@@ -264,9 +256,6 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 	cfg.Ctx = ctx
 	if cfg.Workers == 0 {
 		cfg.Workers = o.opts.Workers
-	}
-	if !cfg.Naive {
-		cfg.Naive = o.opts.Naive
 	}
 	run := p.RunRules(cfg)
 	if run.Err != nil {

@@ -128,10 +128,9 @@ func checkSchedAgreement(m *mlir.Module, optSrc string, reg *mlir.Registry, opts
 func checkJournalReplay(m *mlir.Module, origSrc, optSrc string, opts Options, fail func(name, detail string) *Failure) *Failure {
 	var buf bytes.Buffer
 	w := journal.NewWriter(&buf)
-	opt := dialegg.NewOptimizer(dialegg.Options{
-		RuleSources: opts.Rules, RunConfig: opts.RunConfig,
-		Journal: w, SnapshotEvery: 1,
-	})
+	cfg := opts.RunConfig
+	cfg.SnapshotEvery = 1
+	opt := dialegg.NewOptimizer(dialegg.Options{RuleSources: opts.Rules, RunConfig: cfg, Journal: w})
 	jm := m.Clone()
 	if _, err := opt.OptimizeModule(jm); err != nil {
 		return fail("journal-replay", fmt.Sprintf("journaled optimization failed: %v", err))

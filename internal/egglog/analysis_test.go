@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dialegg/internal/egraph"
+	"dialegg/internal/sched"
 )
 
 // These tests implement the paper's §9 outlook: "an exciting direction
@@ -147,16 +148,46 @@ func TestPointsToStyleAnalysis(t *testing.T) {
 	}
 }
 
-// TestRunConfigDefaultsFlow checks Program.RunDefaults feed the engine.
+// TestRunConfigDefaults checks (run N) runs Program.RunDefaults with only
+// the iteration limit replaced, and a bare (run) takes that too.
 func TestRunConfigDefaults(t *testing.T) {
 	p := NewProgram()
 	mustExec(t, p, exprPrelude+`
 (rewrite (Add ?x ?y) (Add ?y ?x))
 (let e (Add (Num 1) (Num 2)))
 `)
-	p.RunDefaults = egraph.RunConfig{IterLimit: 1}
-	rep := p.RunRules(egraph.RunConfig{})
-	if rep.Iterations != 1 {
-		t.Errorf("iterations = %d, want 1 (RunDefaults)", rep.Iterations)
+	p.RunDefaults = egraph.RunConfig{IterLimit: 1, Workers: 3, MatchShards: 5, RuleMetrics: true}
+	mustExec(t, p, `(run 2)`)
+	if rep := p.LastRun; rep.Iterations != 2 || rep.Workers != 3 || len(rep.Rules) == 0 {
+		t.Errorf("(run 2): iterations %d, workers %d, %d rule rows; want 2, 3 (RunDefaults), rules on",
+			rep.Iterations, rep.Workers, len(rep.Rules))
+	}
+	mustExec(t, p, `(run)`)
+	if rep := p.LastRun; rep.Iterations != 1 {
+		t.Errorf("(run): iterations = %d, want 1 (RunDefaults)", rep.Iterations)
+	}
+}
+
+// liveCount counts live-sink deliveries.
+type liveCount struct{ iters []int }
+
+func (c *liveCount) LiveIter(iter int, _ *egraph.IterStats, _ []sched.RuleIterStats) {
+	c.iters = append(c.iters, iter)
+}
+
+// TestRunHonorsLiveDefault: RunDefaults.Live reaches (run N) — one
+// payload per iteration — exactly as it reaches run-schedule.
+func TestRunHonorsLiveDefault(t *testing.T) {
+	p := NewProgram()
+	mustExec(t, p, exprPrelude+`
+(rewrite (Add ?x ?y) (Add ?y ?x))
+(rewrite (Add (Add ?x ?y) ?z) (Add ?x (Add ?y ?z)))
+(let e (Add (Add (Add (Num 1) (Num 2)) (Num 3)) (Num 4)))
+`)
+	sink := &liveCount{}
+	p.RunDefaults.Live = sink
+	mustExec(t, p, `(run 2)`)
+	if p.LastRun.Iterations != 2 || len(sink.iters) != 2 || sink.iters[0] != 1 || sink.iters[1] != 2 {
+		t.Errorf("(run 2) ran %d iterations, live sink saw %v", p.LastRun.Iterations, sink.iters)
 	}
 }

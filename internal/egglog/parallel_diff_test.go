@@ -138,11 +138,12 @@ func optimizeFingerprint(t *testing.T, b *bench.Benchmark, workers int, naive bo
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := b.RunConfig
+	cfg.Naive = naive
 	opt := dialegg.NewOptimizer(dialegg.Options{
 		RuleSources: b.Rules,
-		RunConfig:   b.RunConfig,
+		RunConfig:   cfg,
 		Workers:     workers,
-		Naive:       naive,
 	})
 	rep, err := opt.OptimizeModule(m)
 	if err != nil {

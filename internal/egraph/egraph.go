@@ -52,12 +52,6 @@ type EGraph struct {
 	// replay can skip them (its own Rebuild regenerates them).
 	journal   *journal.Writer
 	inRebuild bool
-	// reqID is the correlation key of the run in progress
-	// (RunConfig.RequestID): jEmit stamps it on every journal event so
-	// one request's events are joinable with its trace spans and the
-	// serving layer's log lines. Empty outside runs and for runs with no
-	// request context.
-	reqID string
 	// iterCur is the graph-lifetime saturation iteration counter: the
 	// runner increments it per iteration (monotonic across runs) and rows
 	// and unions are stamped with it. ruleCur is the provenance ID of the

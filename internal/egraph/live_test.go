@@ -1,29 +1,30 @@
 package egraph
 
-// Tests for the live-gauge feed (RunConfig.Live) and request-ID
-// correlation (RunConfig.RequestID): the telemetry substrate the serving
-// layer's Prometheus gauges and engine health watchdog consume.
+// Tests for the live feed (RunConfig.Live) and the per-iteration rule
+// record every per-rule consumer shares: the telemetry substrate the
+// serving layer's Prometheus gauges and engine health watchdog consume.
 
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
+	"reflect"
 	"testing"
 
-	"dialegg/internal/obs"
-	"dialegg/internal/obs/journal"
+	"dialegg/internal/sched"
 )
 
 // captureSink records every LiveIter delivery.
 type captureSink struct {
-	iters []LiveIterStats
-	rules [][]LiveRuleStats
+	iterNums []int
+	iters    []IterStats
+	rules    [][]sched.RuleIterStats
 }
 
-func (c *captureSink) LiveIter(st LiveIterStats, rules []LiveRuleStats) {
-	c.iters = append(c.iters, st)
+func (c *captureSink) LiveIter(iter int, it *IterStats, rules []sched.RuleIterStats) {
+	c.iterNums = append(c.iterNums, iter)
+	c.iters = append(c.iters, *it)
 	// The runner reuses the rules buffer; copy per the interface contract.
-	c.rules = append(c.rules, append([]LiveRuleStats(nil), rules...))
+	c.rules = append(c.rules, append([]sched.RuleIterStats(nil), rules...))
 }
 
 // TestLiveSinkMatchesReport: the live feed delivers one payload per
@@ -44,8 +45,8 @@ func TestLiveSinkMatchesReport(t *testing.T) {
 		t.Fatalf("live feed delivered %d payloads for %d iterations", len(sink.iters), rep.Iterations)
 	}
 	for i, st := range sink.iters {
-		if st.Iter != i+1 {
-			t.Errorf("payload %d: Iter = %d, want %d", i, st.Iter, i+1)
+		if sink.iterNums[i] != i+1 {
+			t.Errorf("payload %d: iter = %d, want %d", i, sink.iterNums[i], i+1)
 		}
 		it := rep.PerIter[i]
 		if st.Nodes != it.Nodes || st.Matches != it.Matches || st.DeltaRows != it.DeltaRows {
@@ -64,7 +65,7 @@ func TestLiveSinkMatchesReport(t *testing.T) {
 	// Per-rule deltas: every payload names the comm rule with matched >=
 	// applied > 0 until saturation.
 	for i, rules := range sink.rules[:len(sink.rules)-1] {
-		if len(rules) != 1 || rules[0].Name != "comm-Add" {
+		if len(rules) != 1 || rules[0].Rule != "comm-Add" {
 			t.Fatalf("payload %d rules = %+v", i, rules)
 		}
 		if rules[0].Applied <= 0 || rules[0].Matched < rules[0].Applied {
@@ -89,7 +90,7 @@ func TestLiveSinkDoesNotChangeResult(t *testing.T) {
 	l1, rules1 := build()
 	plain := l1.g.Run(rules1, RunConfig{IterLimit: 3, NodeLimit: 50_000, Workers: 2})
 	l2, rules2 := build()
-	observed := l2.g.Run(rules2, RunConfig{IterLimit: 3, NodeLimit: 50_000, Workers: 2, Live: &captureSink{}, RequestID: "req-x"})
+	observed := l2.g.Run(rules2, RunConfig{IterLimit: 3, NodeLimit: 50_000, Workers: 2, Live: &captureSink{}})
 
 	if plain.Iterations != observed.Iterations || plain.Nodes != observed.Nodes ||
 		plain.Classes != observed.Classes || plain.Stop != observed.Stop {
@@ -102,86 +103,101 @@ func TestLiveSinkDoesNotChangeResult(t *testing.T) {
 	}
 }
 
-// TestRequestIDCorrelation: a run with RequestID stamps the ID on every
-// journal event it emits and labels the trace recorder with it.
-func TestRequestIDCorrelation(t *testing.T) {
-	const reqID = "req-0123456789abcdef"
-	l := newExprLangQuiet()
-	g := l.g
-	var buf bytes.Buffer
-	jw := journal.NewWriter(&buf)
-	g.SetJournal(jw, "live-test")
-	a, _ := g.Insert(l.Num, I64Value(g.I64, 1))
-	b, _ := g.Insert(l.Num, I64Value(g.I64, 2))
-	g.Insert(l.Add, a, b)
+// recordingScheduler wraps a strategy and keeps a copy of every record its
+// instances receive through RecordIter.
+type recordingScheduler struct {
+	sched.Scheduler
+	got *[][]sched.RuleIterStats
+}
 
-	rec := obs.NewRecorder()
-	rep := g.Run([]*Rule{commRule(l.Add)}, RunConfig{IterLimit: 3, Workers: 1, RequestID: reqID, Recorder: rec})
-	if !rep.Saturated() {
-		t.Fatalf("stop = %s", rep.Stop)
-	}
-	g.SetJournal(nil, "")
-	if err := jw.Flush(); err != nil {
-		t.Fatal(err)
-	}
+func (r recordingScheduler) New() sched.Instance {
+	return recordingInstance{r.Scheduler.New(), r.got}
+}
 
-	events, err := journal.Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var inRun bool
-	var runEvents, stamped int
-	for _, ev := range events {
-		switch ev.Kind {
-		case journal.KRun:
-			inRun = true
+type recordingInstance struct {
+	sched.Instance
+	got *[][]sched.RuleIterStats
+}
+
+func (r recordingInstance) RecordIter(iter int, stats []sched.RuleIterStats) {
+	*r.got = append(*r.got, append([]sched.RuleIterStats(nil), stats...))
+	r.Instance.RecordIter(iter, stats)
+}
+
+// TestOneRuleRecord: a scheduled run with a live sink and rule metrics
+// hands every per-rule consumer the same record. The sink's payload is
+// what the scheduler received, its iteration stats are the report's, the
+// records sum to RunReport.Rules, and each IterStats.Sched entry is one
+// skipped or capped rule of its iteration's record — at any worker count.
+func TestOneRuleRecord(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		l := newExprLangQuiet()
+		addChain(t, l, 24)
+		rules := []*Rule{commRule(l.Add), assocRule(l.Add)}
+		var recorded [][]sched.RuleIterStats
+		sink := &captureSink{}
+		rep := l.g.Run(rules, RunConfig{
+			IterLimit:   10,
+			NodeLimit:   50_000,
+			Workers:     workers,
+			RuleMetrics: true,
+			Live:        sink,
+			Scheduler:   recordingScheduler{sched.Backoff{Threshold: 8, Factor: 2, BanLength: 2}, &recorded},
+		})
+		if rep.Err != nil {
+			t.Fatal(rep.Err)
 		}
-		if inRun {
-			runEvents++
-			if ev.Req == reqID {
-				stamped++
-			} else {
-				t.Errorf("event %s (iter %d) req = %q, want %q", ev.Kind, ev.Iter, ev.Req, reqID)
+		if len(recorded) != rep.Iterations || !reflect.DeepEqual(sink.rules, recorded) {
+			t.Fatalf("workers=%d: live payload differs from the scheduler's record:\n live  %+v\n sched %+v", workers, sink.rules, recorded)
+		}
+		if !reflect.DeepEqual(sink.iters, rep.PerIter) {
+			t.Errorf("workers=%d: live iteration stats differ from RunReport.PerIter", workers)
+		}
+		sum := make([]RuleStats, len(rules))
+		var skips, limits int
+		for i, record := range recorded {
+			var interventions []sched.RuleIterStats
+			for j, r := range record {
+				if r.Rule != rules[j].Name {
+					t.Fatalf("iter %d: record %d names %q, want %q", i+1, j, r.Rule, rules[j].Name)
+				}
+				sum[j].Matched += r.Matched
+				sum[j].Applied += r.Applied
+				switch {
+				case r.Skipped:
+					sum[j].Throttled++
+					interventions = append(interventions, r)
+				case r.Limited:
+					sum[j].MatchLimited++
+					interventions = append(interventions, r)
+				}
 			}
-		} else if ev.Req != "" {
-			t.Errorf("pre-run event %s carries req %q", ev.Kind, ev.Req)
+			decisions := rep.PerIter[i].Sched
+			if len(decisions) != len(interventions) {
+				t.Fatalf("iter %d: %d Sched entries for record interventions %+v", i+1, len(decisions), interventions)
+			}
+			for k, d := range decisions {
+				r := interventions[k]
+				switch {
+				case d.Rule != r.Rule:
+					t.Errorf("iter %d: Sched entry %+v for record %+v", i+1, d, r)
+				case d.Action == "skip" && r.Skipped:
+					skips++
+				case d.Action == "limit" && r.Limited && d.Dropped == r.Matched-r.Applied:
+					limits++
+				default:
+					t.Errorf("iter %d: Sched entry %+v disagrees with record %+v", i+1, d, r)
+				}
+			}
 		}
-		if ev.Kind == journal.KRunEnd {
-			inRun = false
+		if skips == 0 || limits == 0 {
+			t.Fatalf("workers=%d: backoff never tripped (%d skips, %d limits)", workers, skips, limits)
 		}
-	}
-	if runEvents == 0 || stamped != runEvents {
-		t.Fatalf("stamped %d of %d run events", stamped, runEvents)
-	}
-
-	if got := rec.Labels()["request_id"]; got != reqID {
-		t.Errorf("recorder label = %q, want %q", got, reqID)
-	}
-	// The label survives into the Chrome trace, and the trace stays valid.
-	var trace bytes.Buffer
-	if err := rec.WriteTrace(&trace); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obs.ValidateTrace(trace.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(trace.String(), reqID) {
-		t.Error("trace does not carry the request ID")
-	}
-
-	// A journaled run with no RequestID stamps nothing.
-	var buf2 bytes.Buffer
-	jw2 := journal.NewWriter(&buf2)
-	l2 := newExprLangQuiet()
-	l2.g.SetJournal(jw2, "no-req")
-	x, _ := l2.g.Insert(l2.Num, I64Value(l2.g.I64, 1))
-	y, _ := l2.g.Insert(l2.Num, I64Value(l2.g.I64, 2))
-	l2.g.Insert(l2.Add, x, y)
-	l2.g.Run([]*Rule{commRule(l2.Add)}, RunConfig{IterLimit: 2, Workers: 1})
-	if err := jw2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf2.String(), `"req"`) {
-		t.Error("request-less run stamped req on journal events")
+		for j, rs := range rep.Rules {
+			if rs.Matched != sum[j].Matched || rs.Applied != sum[j].Applied ||
+				rs.Throttled+rs.Banned != sum[j].Throttled || rs.MatchLimited != sum[j].MatchLimited {
+				t.Errorf("workers=%d: rule %s totals %+v, records sum to %+v", workers, rs.Name, rs, sum[j])
+			}
+		}
 	}
 }

@@ -46,11 +46,6 @@ type RunConfig struct {
 	// improves load balance; the merged match order is unchanged by
 	// either knob.
 	MatchShards int
-	// RecordTaskTimes populates IterStats.TaskTimes and TaskRows with
-	// each match task's duration and row count, making the match phase's
-	// parallelism observable (per-shard work and its balance across
-	// workers).
-	RecordTaskTimes bool
 	// RuleMetrics enables per-rule accounting (RunReport.Rules) and the
 	// expensive per-iteration gauges (Classes, LiveRows/DeadRows, Finds).
 	// Off — the default — none of these are computed, keeping the
@@ -59,23 +54,17 @@ type RunConfig struct {
 	// Recorder, when non-nil, receives structured trace spans: one per
 	// iteration and per phase on the engine lane, and one per match task
 	// on its worker's lane. The spans render as Chrome trace-event JSON
-	// via the recorder's WriteTrace. A nil Recorder records nothing and
+	// via the recorder's WriteTrace; each match span carries the task's
+	// row count as its "rows" argument. A nil Recorder records nothing and
 	// costs nothing.
 	Recorder *obs.Recorder
-	// RequestID is the correlation key of the serving-layer request this
-	// run executes for. It changes no engine behavior; it is stamped on
-	// every journal event the run emits and attached as a trace-level
-	// label on the Recorder, so one request's journal, trace, and log
-	// lines all join on the same ID. Empty means no request context.
-	RequestID string
-	// Live, when non-nil, receives per-iteration engine gauges (graph
-	// growth, row census, per-rule match/apply counts) while the run is
-	// in progress — the feed the serving layer exports as live Prometheus
-	// gauges and the engine health watchdog watches for saturation
-	// explosions. Unlike RuleMetrics it does not enable the union-find
-	// Find counter or per-match no-op accounting, so its per-iteration
-	// cost is one class count plus one row census. A nil Live costs one
-	// pointer check per iteration and changes nothing.
+	// Live, when non-nil, receives each iteration's IterStats and per-rule
+	// record while the run is in progress — the feed the serving layer
+	// exports as live Prometheus gauges and the engine health watchdog
+	// watches for saturation explosions. Unlike RuleMetrics it does not
+	// enable the union-find Find counter or per-match no-op accounting, so
+	// its per-iteration cost is one class count plus one row census. A nil
+	// Live costs one pointer check per iteration and changes nothing.
 	Live LiveSink
 	// SnapshotEvery, when > 0 and the graph has a journal attached, embeds
 	// a full state snapshot (EGraph.Snapshot) into the journal after every
@@ -214,7 +203,7 @@ type IterStats struct {
 	Nodes int `json:"nodes"`
 	// Classes is the e-class count after the rebuild. Computing it walks
 	// every constructor row, so it is only populated (non-zero) when
-	// RunConfig.RuleMetrics is set.
+	// RunConfig.RuleMetrics or RunConfig.Live is set.
 	Classes int `json:"classes,omitempty"`
 	// Unions counts effective unions performed by applies and rebuild;
 	// RebuildUnions is the rebuild-only share (congruence repairs).
@@ -227,13 +216,9 @@ type IterStats struct {
 	// RebuildPasses is how many passes Rebuild needed to restore
 	// congruence (repair rounds).
 	RebuildPasses int `json:"rebuild_passes"`
-	// TaskTimes and TaskRows hold each match task's duration and row
-	// visits in task-plan order (rule-major, shard-minor) when
-	// RunConfig.RecordTaskTimes is set. sum(TaskRows) == RowsScanned.
-	TaskTimes []time.Duration `json:"task_times_ns,omitempty"`
-	TaskRows  []int64         `json:"task_rows,omitempty"`
 	// RowsScanned counts the iteration's match-phase row visits (scan
-	// loop iterations plus direct lookups) summed over all tasks.
+	// loop iterations plus direct lookups) summed over all tasks (each
+	// task's share is the "rows" argument of its Recorder match span).
 	RowsScanned int64 `json:"rows_scanned"`
 	// DeltaRows is the size of the iteration's delta frontier: the live
 	// rows inserted or re-canonicalized during the previous iteration,
@@ -245,7 +230,7 @@ type IterStats struct {
 	SemiNaive bool `json:"semi_naive"`
 	// LiveRows and DeadRows census the database tables after the
 	// iteration's rebuild (dead rows await compaction). Populated only
-	// when RunConfig.RuleMetrics is set.
+	// when RunConfig.RuleMetrics or RunConfig.Live is set.
 	LiveRows int `json:"live_rows,omitempty"`
 	DeadRows int `json:"dead_rows,omitempty"`
 	// Finds counts union-find Find calls during the iteration (match
@@ -279,47 +264,18 @@ type SchedDecision struct {
 // Saturated reports whether the run reached a fixed point.
 func (r RunReport) Saturated() bool { return r.Stop == StopSaturated }
 
-// LiveIterStats is one iteration's live gauge payload, delivered to
-// RunConfig.Live right after the iteration's rebuild — while the run is
-// still going, which is what makes saturation explosions observable
-// before the final RunReport exists.
-type LiveIterStats struct {
-	// Iter is the 1-based iteration number within this run.
-	Iter int
-	// Nodes and Classes size the e-graph after the iteration's rebuild.
-	Nodes   int
-	Classes int
-	// LiveRows and DeadRows census the database tables; DeltaRows is the
-	// iteration's semi-naive frontier size.
-	LiveRows  int
-	DeadRows  int
-	DeltaRows int
-	// Matches is the number of matches applied this iteration.
-	Matches int
-}
-
-// LiveRuleStats is one rule's match activity in one iteration (deltas,
-// not run totals — sinks that export monotonic counters just add them).
-type LiveRuleStats struct {
-	Name string
-	// Matched is the rule's pre-truncation match count this iteration;
-	// Applied the post-truncation count actually applied.
-	Matched int64
-	Applied int64
-	// Throttled reports that the scheduler skipped the rule this
-	// iteration; Limited that a scheduler cap truncated its matches. Both
-	// false without a scheduler.
-	Throttled bool
-	Limited   bool
-}
-
-// LiveSink receives live per-iteration gauges during a saturation run.
-// LiveIter is called from the runner's serial section after each
-// iteration's rebuild; rules is valid only for the duration of the call
-// (the runner reuses the buffer). Implementations must not call back
-// into the e-graph.
+// LiveSink receives each iteration's statistics while a saturation run
+// is still going, which is what makes saturation explosions observable
+// before the final RunReport exists. LiveIter is called from the runner's
+// serial section after each iteration's rebuild with the 1-based
+// iteration number, the iteration's IterStats (Classes, LiveRows and
+// DeadRows populated), and its per-rule record in rule-declaration order
+// (per-iteration deltas, not run totals — sinks that export monotonic
+// counters just add them). Both are valid only for the duration of the
+// call and must not be modified; implementations must not call back into
+// the e-graph.
 type LiveSink interface {
-	LiveIter(st LiveIterStats, rules []LiveRuleStats)
+	LiveIter(iter int, it *IterStats, rules []sched.RuleIterStats)
 }
 
 // ruleMatches holds one rule's merged match buffer for the apply phase.
@@ -490,8 +446,8 @@ func keyLess(a, b []int32) bool {
 // are internally synchronized.
 //
 // The returned tasks carry per-task timings, row counts, and worker ids
-// when any consumer wants them (RecordTaskTimes, RuleMetrics, or an
-// enabled Recorder); the runner aggregates them serially after the phase.
+// when any consumer wants them (RuleMetrics or an enabled Recorder); the
+// runner aggregates them serially after the phase.
 // Scheduler decisions and full-scan debt (both nil for unscheduled runs)
 // shape the plan — skipped rules get no tasks, indebted rules full-scan —
 // and scheduler caps truncate the merged per-rule lists. Caps are applied
@@ -505,7 +461,7 @@ func (g *EGraph) collectMatches(rules []*Rule, cfg RunConfig, delta bool, minSta
 	} else {
 		tasks = g.planMatchTasks(rules, cfg.MatchShards, decisions)
 	}
-	timeTasks := cfg.RecordTaskTimes || cfg.RuleMetrics || cfg.Recorder.Enabled()
+	timeTasks := cfg.RuleMetrics || cfg.Recorder.Enabled()
 
 	runTask := func(worker, i int) {
 		t := &tasks[i]
@@ -625,7 +581,8 @@ func (g *EGraph) collectMatches(rules []*Rule, cfg RunConfig, delta bool, minSta
 }
 
 // rowCensus counts live and dead (tombstoned, awaiting compaction) rows
-// across all tables. O(#functions); used by the RuleMetrics gauges.
+// across all tables. O(#functions); used by the RuleMetrics and Live
+// gauges.
 func (g *EGraph) rowCensus() (live, dead int) {
 	for _, f := range g.funcs {
 		live += f.table.live
@@ -653,27 +610,18 @@ func (g *EGraph) rowCensus() (live, dead int) {
 //
 // Observability is additive and, when off, free: cfg.RuleMetrics turns on
 // per-rule accounting (RunReport.Rules) plus the expensive per-iteration
-// gauges, and cfg.Recorder collects trace spans. Neither changes which
-// matches are found or applied.
+// gauges, cfg.Live streams each iteration as it finishes, and cfg.Recorder
+// collects trace spans. Every per-rule consumer (the scheduler, the live
+// sink, and RunReport.Rules) reads one per-iteration record. None of them
+// changes which matches are found or applied.
 func (g *EGraph) Run(rules []*Rule, cfg RunConfig) RunReport {
 	cfg = cfg.withDefaults()
 	start := time.Now()
 	report := RunReport{Stop: StopIterLimit, Workers: cfg.Workers}
 	rec := cfg.Recorder
-	if cfg.RequestID != "" {
-		// Correlate this run's artifacts: journal events are stamped with
-		// the request ID for the run's duration, and the trace carries it
-		// as a process-level label.
-		if g.journal != nil {
-			g.reqID = cfg.RequestID
-			defer func() { g.reqID = "" }()
-		}
-		rec.SetLabel("request_id", cfg.RequestID)
-	}
 	if g.journal != nil {
 		g.jEmit(journal.Event{Kind: journal.KRun, Workers: cfg.Workers})
 	}
-	var liveRules []LiveRuleStats
 
 	var selAgg []RuleSelectivity
 	if cfg.ProfileSample > 0 {
@@ -683,21 +631,27 @@ func (g *EGraph) Run(rules []*Rule, cfg RunConfig) RunReport {
 		}
 	}
 	// Scheduler state: one fresh Instance per run (strategies are
-	// reusable; instances are not), the per-iteration decision vector, the
-	// cumulative per-rule stats decisions key on, the RecordIter buffer,
-	// and the full-scan debt ledger. All of it lives in the serial
-	// section; the match workers only ever see the finished decisions.
+	// reusable; instances are not), the per-iteration decision vector, and
+	// the full-scan debt ledger. All of it lives in the serial section; the
+	// match workers only ever see the finished decisions.
 	var schedInst sched.Instance
 	var decisions []sched.Decision
-	var schedTotals []sched.RuleStats
-	var schedIter []sched.RuleIterStats
 	var needFull []bool
 	if cfg.Scheduler != nil {
 		schedInst = cfg.Scheduler.New()
 		decisions = make([]sched.Decision, len(rules))
-		schedTotals = make([]sched.RuleStats, len(rules))
-		schedIter = make([]sched.RuleIterStats, len(rules))
 		needFull = make([]bool, len(rules))
+	}
+	// ruleIter is the iteration's per-rule record (matched, applied,
+	// skipped, capped), rebuilt every iteration and read by every per-rule
+	// consumer: the scheduler, the live sink, and the RuleMetrics totals.
+	// Runs with none of them never build it.
+	var ruleIter []sched.RuleIterStats
+	if schedInst != nil || cfg.Live != nil || cfg.RuleMetrics {
+		ruleIter = make([]sched.RuleIterStats, len(rules))
+		for i, r := range rules {
+			ruleIter[i].Rule = r.Name
+		}
 	}
 	var rstats []RuleStats
 	if cfg.RuleMetrics {
@@ -760,12 +714,13 @@ func (g *EGraph) Run(rules []*Rule, cfg RunConfig) RunReport {
 		var it IterStats
 		it.DeltaRows = deltaRows
 		it.SemiNaive = useDelta
-		// Scheduler decisions for the iteration, computed serially from
-		// merged stats before any worker starts — never from wall time or
+		// Scheduler decisions for the iteration, computed serially before
+		// any worker starts from the iteration number and the merged
+		// per-rule records of earlier iterations — never from wall time or
 		// goroutine order, which is the determinism contract.
 		if schedInst != nil {
 			for i, r := range rules {
-				decisions[i] = schedInst.RuleBudget(r.Name, iter+1, schedTotals[i])
+				decisions[i] = schedInst.RuleBudget(r.Name, iter+1)
 			}
 		}
 
@@ -776,14 +731,6 @@ func (g *EGraph) Run(rules []*Rule, cfg RunConfig) RunReport {
 		it.RowsScanned = scanned
 		report.RowsScanned += scanned
 		report.MatchTime += it.MatchTime
-		if cfg.RecordTaskTimes {
-			it.TaskTimes = make([]time.Duration, len(tasks))
-			it.TaskRows = make([]int64, len(tasks))
-			for i := range tasks {
-				it.TaskTimes[i] = tasks[i].took
-				it.TaskRows[i] = tasks[i].scanned
-			}
-		}
 		if cfg.ProfileSample > 0 {
 			// Fold task sinks serially, in plan order. Summation is
 			// commutative, so the aggregate depends only on which rows were
@@ -817,9 +764,6 @@ func (g *EGraph) Run(rules []*Rule, cfg RunConfig) RunReport {
 					}
 				}
 			}
-			for i := range pending {
-				rstats[i].Matched += pending[i].found
-			}
 		}
 		if rec.Enabled() {
 			for i := range tasks {
@@ -835,21 +779,16 @@ func (g *EGraph) Run(rules []*Rule, cfg RunConfig) RunReport {
 				"tasks": int64(len(tasks)),
 			})
 		}
-		if err != nil {
-			report.Stop = StopRuleError
-			report.Err = err
-			report.PerIter = append(report.PerIter, it)
-			report.Rules = rstats
-			report.Selectivity = selAgg
-			report.finish(g, start)
-			return report
-		}
-		// A cancellation during the match phase may have skipped tasks, so
-		// the merged buffers can be incomplete; applying them would make
-		// the result depend on cancellation timing. Discard the phase and
-		// stop — the graph is still clean (matching only reads).
-		if cfg.Ctx.Err() != nil {
-			report.Stop = StopCanceled
+		// A rule error stops the run, and so does a cancellation during the
+		// match phase: it may have skipped tasks, so the merged buffers can
+		// be incomplete, and applying them would make the result depend on
+		// cancellation timing. The phase is discarded; the graph is still
+		// clean (matching only reads).
+		if err != nil || cfg.Ctx.Err() != nil {
+			report.Stop, report.Err = StopCanceled, err
+			if err != nil {
+				report.Stop = StopRuleError
+			}
 			report.PerIter = append(report.PerIter, it)
 			break
 		}
@@ -858,74 +797,14 @@ func (g *EGraph) Run(rules []*Rule, cfg RunConfig) RunReport {
 			truncated = truncated || rm.truncated
 		}
 
-		// Phase 2: apply serially, in merged (deterministic) order, so
-		// unions, inserts, and proof recording need no locking. The apply
-		// runs under the frozen iteration-start canonicalization
-		// (beginFrozenApply), so each match's effect depends only on the
-		// snapshot it was collected against — re-applying an old match is
-		// then a guaranteed no-op, which is what lets semi-naive mode skip
-		// old matches without changing a single bit of the result.
+		// Phase 2: apply serially, in merged (deterministic) order.
 		startApply := time.Now()
-		applied := 0
-		g.beginFrozenApply()
-		for ri := range pending {
-			rm := &pending[ri]
-			if len(rm.matches) > 0 {
-				// Provenance context: rows and unions made while applying
-				// this batch are stamped with the rule (endFrozenApply
-				// clears it on every exit from the phase).
-				g.ruleCur = g.ruleID(rm.rule.Name)
-				if g.journal != nil {
-					g.jEmit(journal.Event{Kind: journal.KFire, Name: rm.rule.Name, Matches: len(rm.matches)})
-				}
-			}
-			var ruleStart time.Time
-			var ruleRowsBefore int
-			var ruleUnionsBefore uint64
-			if cfg.RuleMetrics && len(rm.matches) > 0 {
-				ruleStart = time.Now()
-				ruleRowsBefore = g.TotalRows()
-				ruleUnionsBefore = g.unionCount
-			}
-			for _, binds := range rm.matches {
-				// A match whose actions moved neither the union counter nor
-				// the effect counter (new rows, merge changes, cost installs)
-				// changed nothing — the per-rule no-op count is what makes
-				// naive mode's redundant re-matching visible in --stats.
-				var before uint64
-				if cfg.RuleMetrics {
-					before = g.unionCount + g.effects
-				}
-				if err := g.ApplyActions(rm.rule, binds); err != nil {
-					g.endFrozenApply()
-					report.Stop = StopRuleError
-					report.Err = fmt.Errorf("applying rule %s: %w", rm.rule.Name, err)
-					report.PerIter = append(report.PerIter, it)
-					report.Rules = rstats
-					report.Selectivity = selAgg
-					report.finish(g, start)
-					return report
-				}
-				applied++
-				if cfg.RuleMetrics {
-					rstats[ri].Applied++
-					if g.unionCount+g.effects == before {
-						rstats[ri].Noops++
-					}
-				}
-			}
-			if cfg.RuleMetrics && len(rm.matches) > 0 {
-				rstats[ri].ApplyTime += time.Since(ruleStart)
-				// Growth attribution: rows and unions the batch produced,
-				// measured over the serial apply of this rule's matches —
-				// the live-run counterpart of the journal's per-row
-				// provenance. Rebuild's congruence unions are deliberately
-				// excluded; they belong to no single rule.
-				rstats[ri].RowsCreated += int64(g.TotalRows() - ruleRowsBefore)
-				rstats[ri].UnionsMade += g.unionCount - ruleUnionsBefore
-			}
+		applied, err := g.applyMatches(pending, rstats)
+		if err != nil {
+			report.Stop, report.Err = StopRuleError, err
+			report.PerIter = append(report.PerIter, it)
+			break
 		}
-		g.endFrozenApply()
 		it.ApplyTime = time.Since(startApply)
 		report.ApplyTime += it.ApplyTime
 
@@ -949,91 +828,58 @@ func (g *EGraph) Run(rules []*Rule, cfg RunConfig) RunReport {
 		it.Matches = applied
 		it.Nodes = nodesAfter
 		it.Unions = g.unionCount - unionsBefore
-		if cfg.RuleMetrics {
+		if cfg.RuleMetrics || cfg.Live != nil {
 			it.Classes = g.NumClasses()
 			it.LiveRows, it.DeadRows = g.rowCensus()
+		}
+		if cfg.RuleMetrics {
 			it.Finds = g.uf.Finds() - findsBefore
 		}
-		// Close the scheduler's loop: fold the iteration's merged per-rule
-		// outcomes into the cumulative stats, surface interventions in
-		// IterStats (and the per-rule counters when metrics are on), record
-		// full-scan debt for skipped/truncated rules, and report the
-		// iteration back to the strategy. schedActive marks a non-final
-		// intervention — while one exists, a no-growth iteration must not
-		// be read as saturation, because an expiring ban can still wake the
-		// run up.
+		// Fill the iteration's per-rule record, then hand it to each
+		// consumer. For the scheduler that closes its loop: interventions
+		// are surfaced in IterStats, skipped and truncated rules take on
+		// full-scan debt, and the strategy sees the record. schedActive
+		// marks a non-final intervention — while one exists, a no-growth
+		// iteration must not be read as saturation, because an expiring ban
+		// can still wake the run up.
+		for i := range ruleIter {
+			rm, ri := &pending[i], &ruleIter[i]
+			ri.Matched, ri.Applied = rm.found, int64(len(rm.matches))
+			ri.Skipped, ri.Limited = schedSkip(decisions, i), rm.schedTruncated
+		}
 		schedActive := false
 		if schedInst != nil {
-			for i := range pending {
-				rm := &pending[i]
+			for i, ri := range ruleIter {
 				d := decisions[i]
-				skipped := d.Action == sched.ActionSkip
-				schedIter[i] = sched.RuleIterStats{
-					Rule:    rules[i].Name,
-					Matched: rm.found,
-					Applied: int64(len(rm.matches)),
-					Skipped: skipped,
-					Limited: rm.schedTruncated,
-				}
-				schedTotals[i].Matched += rm.found
-				schedTotals[i].Applied += int64(len(rm.matches))
 				switch {
-				case skipped:
-					schedTotals[i].SkippedIters++
-					if !d.Final {
-						schedActive = true
-					}
-					it.Sched = append(it.Sched, SchedDecision{Rule: rules[i].Name, Action: "skip", Final: d.Final})
-					if cfg.RuleMetrics {
-						if d.Final {
-							rstats[i].Banned++
-						} else {
-							rstats[i].Throttled++
-						}
-					}
-				case rm.schedTruncated:
-					dropped := rm.found - int64(len(rm.matches))
+				case ri.Skipped:
+					schedActive = schedActive || !d.Final
+					it.Sched = append(it.Sched, SchedDecision{Rule: ri.Rule, Action: "skip", Final: d.Final})
+				case ri.Limited:
 					schedActive = true
-					it.Sched = append(it.Sched, SchedDecision{Rule: rules[i].Name, Action: "limit", Limit: d.Limit, Dropped: dropped})
-					if cfg.RuleMetrics {
-						rstats[i].MatchLimited++
-						rstats[i].SchedDropped += dropped
-					}
+					it.Sched = append(it.Sched, SchedDecision{Rule: ri.Rule, Action: "limit", Limit: d.Limit, Dropped: ri.Matched - ri.Applied})
 				}
-				needFull[i] = skipped || rm.schedTruncated
+				needFull[i] = ri.Skipped || ri.Limited
 			}
-			schedInst.RecordIter(iter+1, schedIter)
+			schedInst.RecordIter(iter+1, ruleIter)
+		}
+		for i := range rstats {
+			rs, ri := &rstats[i], &ruleIter[i]
+			rs.Matched += ri.Matched
+			rs.Applied += ri.Applied
+			switch {
+			case ri.Skipped && decisions[i].Final:
+				rs.Banned++
+			case ri.Skipped:
+				rs.Throttled++
+			case ri.Limited:
+				rs.MatchLimited++
+				rs.SchedDropped += ri.Matched - ri.Applied
+			}
 		}
 		report.PerIter = append(report.PerIter, it)
 		if cfg.Live != nil {
-			lst := LiveIterStats{
-				Iter:      iter + 1,
-				Nodes:     nodesAfter,
-				DeltaRows: deltaRows,
-				Matches:   applied,
-			}
-			if cfg.RuleMetrics {
-				lst.Classes, lst.LiveRows, lst.DeadRows = it.Classes, it.LiveRows, it.DeadRows
-			} else {
-				lst.Classes = g.NumClasses()
-				lst.LiveRows, lst.DeadRows = g.rowCensus()
-			}
-			liveRules = liveRules[:0]
-			for i := range pending {
-				rm := &pending[i]
-				throttled := schedInst != nil && decisions[i].Action == sched.ActionSkip
-				if rm.found == 0 && len(rm.matches) == 0 && !throttled {
-					continue
-				}
-				liveRules = append(liveRules, LiveRuleStats{
-					Name:      rm.rule.Name,
-					Matched:   rm.found,
-					Applied:   int64(len(rm.matches)),
-					Throttled: throttled,
-					Limited:   rm.schedTruncated,
-				})
-			}
-			cfg.Live.LiveIter(lst, liveRules)
+			cfg.Live.LiveIter(iter+1, &report.PerIter[len(report.PerIter)-1], ruleIter)
 		}
 		if rec.Enabled() {
 			rec.Complete(obs.LaneEngine, "phase", "apply", startApply, it.ApplyTime, map[string]int64{
@@ -1074,15 +920,74 @@ func (g *EGraph) Run(rules []*Rule, cfg RunConfig) RunReport {
 	}
 	report.Rules = rstats
 	report.Selectivity = selAgg
-	report.finish(g, start)
+	report.Nodes = g.NumNodes()
+	report.Classes = g.NumClasses()
+	report.Elapsed = time.Since(start)
+	if g.journal != nil {
+		g.jEmit(journal.Event{Kind: journal.KRunEnd, Name: string(report.Stop)})
+	}
 	return report
 }
 
-func (r *RunReport) finish(g *EGraph, start time.Time) {
-	r.Nodes = g.NumNodes()
-	r.Classes = g.NumClasses()
-	r.Elapsed = time.Since(start)
-	if g.journal != nil {
-		g.jEmit(journal.Event{Kind: journal.KRunEnd, Name: string(r.Stop)})
+// applyMatches runs the apply phase: every merged match's actions,
+// serially and in merged (deterministic) order, so unions, inserts, and
+// proof recording need no locking. The apply runs under the frozen
+// iteration-start canonicalization (beginFrozenApply), so each match's
+// effect depends only on the snapshot it was collected against —
+// re-applying an old match is then a guaranteed no-op, which is what lets
+// semi-naive mode skip old matches without changing a single bit of the
+// result. rstats (nil unless RunConfig.RuleMetrics) accumulates the
+// per-rule apply costs. It returns the number of matches applied.
+func (g *EGraph) applyMatches(pending []ruleMatches, rstats []RuleStats) (int, error) {
+	applied := 0
+	g.beginFrozenApply()
+	defer g.endFrozenApply()
+	for ri := range pending {
+		rm := &pending[ri]
+		if len(rm.matches) == 0 {
+			continue
+		}
+		// Provenance context: rows and unions made while applying this
+		// batch are stamped with the rule (endFrozenApply clears it).
+		g.ruleCur = g.ruleID(rm.rule.Name)
+		if g.journal != nil {
+			g.jEmit(journal.Event{Kind: journal.KFire, Name: rm.rule.Name, Matches: len(rm.matches)})
+		}
+		var rs *RuleStats
+		var ruleStart time.Time
+		var ruleRowsBefore int
+		var ruleUnionsBefore uint64
+		if rstats != nil {
+			rs = &rstats[ri]
+			ruleStart, ruleRowsBefore, ruleUnionsBefore = time.Now(), g.TotalRows(), g.unionCount
+		}
+		for _, binds := range rm.matches {
+			// A match whose actions moved neither the union counter nor
+			// the effect counter (new rows, merge changes, cost installs)
+			// changed nothing — the per-rule no-op count is what makes
+			// naive mode's redundant re-matching visible in --stats.
+			var before uint64
+			if rs != nil {
+				before = g.unionCount + g.effects
+			}
+			if err := g.ApplyActions(rm.rule, binds); err != nil {
+				return applied, fmt.Errorf("applying rule %s: %w", rm.rule.Name, err)
+			}
+			applied++
+			if rs != nil && g.unionCount+g.effects == before {
+				rs.Noops++
+			}
+		}
+		if rs != nil {
+			rs.ApplyTime += time.Since(ruleStart)
+			// Growth attribution: rows and unions the batch produced,
+			// measured over the serial apply of this rule's matches — the
+			// live-run counterpart of the journal's per-row provenance.
+			// Rebuild's congruence unions are deliberately excluded; they
+			// belong to no single rule.
+			rs.RowsCreated += int64(g.TotalRows() - ruleRowsBefore)
+			rs.UnionsMade += g.unionCount - ruleUnionsBefore
+		}
 	}
+	return applied, nil
 }

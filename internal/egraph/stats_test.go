@@ -93,22 +93,36 @@ func TestRuleMetricsNoopDetection(t *testing.T) {
 	}
 }
 
-// TestTaskRowsSumToRowsScanned: IterStats.RowsScanned equals the sum of
-// TaskRows when RecordTaskTimes is set — the invariant that per-task
+// matchSpanRows sums the "rows" arguments of the recorder's worker-lane
+// match spans per iteration: each engine match-phase span opens a new
+// group, and every match task's span starts inside its phase's span.
+func matchSpanRows(rec *obs.Recorder) []int64 {
+	var perIter []int64
+	for _, ev := range rec.Events() {
+		switch {
+		case ev.Lane == obs.LaneEngine && ev.Cat == "phase" && ev.Name == "match":
+			perIter = append(perIter, 0)
+		case ev.Lane >= obs.LaneWorker && ev.Cat == "match":
+			perIter[len(perIter)-1] += ev.Args["rows"]
+		}
+	}
+	return perIter
+}
+
+// TestMatchSpanRowsSumToRowsScanned: IterStats.RowsScanned equals the sum of
+// the iteration's match-span row counts — the invariant that per-task
 // accounting loses no rows.
-func TestTaskRowsSumToRowsScanned(t *testing.T) {
+func TestMatchSpanRowsSumToRowsScanned(t *testing.T) {
 	l, rules := buildChainGraph()
-	rep := l.g.Run(rules, RunConfig{IterLimit: 4, Workers: 4, MatchShards: 8, RecordTaskTimes: true})
+	rec := obs.NewRecorder()
+	rep := l.g.Run(rules, RunConfig{IterLimit: 4, Workers: 4, MatchShards: 8, Recorder: rec})
+	spans := matchSpanRows(rec)
+	if len(spans) != len(rep.PerIter) {
+		t.Fatalf("%d match phases traced for %d iterations", len(spans), len(rep.PerIter))
+	}
 	for i, it := range rep.PerIter {
-		if len(it.TaskRows) != len(it.TaskTimes) {
-			t.Fatalf("iter %d: %d task rows, %d task times", i+1, len(it.TaskRows), len(it.TaskTimes))
-		}
-		var sum int64
-		for _, r := range it.TaskRows {
-			sum += r
-		}
-		if sum != it.RowsScanned {
-			t.Errorf("iter %d: task rows sum %d != rows scanned %d", i+1, sum, it.RowsScanned)
+		if spans[i] != it.RowsScanned {
+			t.Errorf("iter %d: task rows sum %d != rows scanned %d", i+1, spans[i], it.RowsScanned)
 		}
 	}
 }
@@ -232,10 +246,13 @@ func TestRunReportMerge(t *testing.T) {
 }
 
 // TestRunReportJSONRoundTrip: the stats-JSON schema survives a
-// marshal/unmarshal round trip with every counted field intact.
+// marshal/unmarshal round trip with every counted field intact, and the
+// decoded per-iteration rows still match the trace's match spans (the
+// trace/stats cross-check tracelint runs).
 func TestRunReportJSONRoundTrip(t *testing.T) {
 	l, rules := buildChainGraph()
-	rep := l.g.Run(rules, RunConfig{IterLimit: 3, Workers: 2, RuleMetrics: true, RecordTaskTimes: true})
+	rec := obs.NewRecorder()
+	rep := l.g.Run(rules, RunConfig{IterLimit: 3, Workers: 2, RuleMetrics: true, Recorder: rec})
 	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +283,11 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 	if len(back.PerIter) != len(rep.PerIter) {
 		t.Fatalf("round trip changed iteration count")
 	}
+	spans := matchSpanRows(rec)
 	for i := range back.PerIter {
+		if back.PerIter[i].RowsScanned != spans[i] {
+			t.Errorf("iter %d: decoded rows %d != match-span rows %d", i+1, back.PerIter[i].RowsScanned, spans[i])
+		}
 		if back.PerIter[i].RowsScanned != rep.PerIter[i].RowsScanned ||
 			back.PerIter[i].Matches != rep.PerIter[i].Matches ||
 			back.PerIter[i].Finds != rep.PerIter[i].Finds {

@@ -128,11 +128,6 @@ type Event struct {
 	// Rebuild marks events emitted while Rebuild was restoring congruence;
 	// replay skips them (its own Rebuild call regenerates them).
 	Rebuild bool `json:"rb,omitempty"`
-	// Req is the correlation ID of the serving-layer request whose run
-	// emitted this event (RunConfig.RequestID; "" outside request
-	// context). Replay ignores it — it exists so one request's journal
-	// events, trace spans, and log lines join on the same key.
-	Req string `json:"req,omitempty"`
 
 	// Name is the sort/rule/graph-segment name (KSort, KFire, KGraph).
 	Name string `json:"n,omitempty"`

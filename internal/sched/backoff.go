@@ -120,7 +120,7 @@ func (b *backoffInstance) get(rule string) *backoffState {
 
 // RuleBudget implements Instance: banned rules skip; everything else
 // matches under the rule's current threshold.
-func (b *backoffInstance) RuleBudget(rule string, iter int, _ RuleStats) Decision {
+func (b *backoffInstance) RuleBudget(rule string, iter int) Decision {
 	st := b.get(rule)
 	if iter < st.bannedUntil {
 		return Decision{Action: ActionSkip}

@@ -89,7 +89,7 @@ type matchLimitInstance struct {
 }
 
 // RuleBudget implements Instance.
-func (m matchLimitInstance) RuleBudget(rule string, iter int, _ RuleStats) Decision {
+func (m matchLimitInstance) RuleBudget(rule string, iter int) Decision {
 	if w, ok := m.cfg.Waste[rule]; ok && w >= m.cfg.WasteThreshold && iter > m.cfg.Probation {
 		// The ban never lifts: decisions for this rule are final from
 		// here on, so the runner may still declare saturation.

@@ -64,20 +64,11 @@ type Decision struct {
 	Final bool
 }
 
-// RuleStats is the runner-maintained cumulative view of one rule's
-// activity across the run so far, passed to RuleBudget each iteration.
-// All counts are merged (worker-count-independent) quantities.
-type RuleStats struct {
-	// Matched is the rule's pre-truncation match total.
-	Matched int64
-	// Applied is the rule's applied-match total (post any caps).
-	Applied int64
-	// SkippedIters counts iterations the scheduler skipped the rule.
-	SkippedIters int
-}
-
-// RuleIterStats is one rule's merged outcome of one iteration, delivered
-// to RecordIter after the iteration's apply phase.
+// RuleIterStats is one rule's merged outcome of one iteration. The runner
+// builds one slice of these per iteration, in rule-declaration order, and
+// every per-rule consumer reads that same record: RecordIter, the engine's
+// live sink (egraph.LiveSink), and the per-rule run totals
+// (egraph.RunReport.Rules).
 type RuleIterStats struct {
 	Rule string
 	// Matched is the pre-truncation match count (exact: scheduler caps
@@ -100,9 +91,10 @@ type RuleIterStats struct {
 // locking.
 type Instance interface {
 	// RuleBudget returns the rule's budget for iteration iter (1-based).
-	RuleBudget(rule string, iter int, stats RuleStats) Decision
+	RuleBudget(rule string, iter int) Decision
 	// RecordIter delivers the iteration's merged per-rule outcomes in
-	// rule-declaration order.
+	// rule-declaration order. The slice is valid only for the duration of
+	// the call (the runner reuses it).
 	RecordIter(iter int, stats []RuleIterStats)
 }
 
@@ -129,5 +121,5 @@ func (Simple) Fingerprint() string { return "simple" }
 
 type simpleInstance struct{}
 
-func (simpleInstance) RuleBudget(string, int, RuleStats) Decision { return Decision{} }
-func (simpleInstance) RecordIter(int, []RuleIterStats)            {}
+func (simpleInstance) RuleBudget(string, int) Decision { return Decision{} }
+func (simpleInstance) RecordIter(int, []RuleIterStats) {}

@@ -12,7 +12,7 @@ import (
 func TestBackoffBanSchedule(t *testing.T) {
 	inst := Backoff{Threshold: 10, Factor: 2, BanLength: 3}.New()
 
-	d := inst.RuleBudget("hot", 1, RuleStats{})
+	d := inst.RuleBudget("hot", 1)
 	if d.Action != ActionLimit || d.Limit != 10 {
 		t.Fatalf("iter 1: got %+v, want limit 10", d)
 	}
@@ -22,33 +22,33 @@ func TestBackoffBanSchedule(t *testing.T) {
 		{Rule: "cold", Matched: 3, Applied: 3},
 	})
 	for iter := 2; iter <= 4; iter++ {
-		if d := inst.RuleBudget("hot", iter, RuleStats{}); d.Action != ActionSkip {
+		if d := inst.RuleBudget("hot", iter); d.Action != ActionSkip {
 			t.Fatalf("iter %d: hot got %+v, want skip", iter, d)
 		}
 		if d.Final {
 			t.Fatalf("backoff bans must not be final")
 		}
-		if d := inst.RuleBudget("cold", iter, RuleStats{}); d.Action != ActionLimit || d.Limit != 10 {
+		if d := inst.RuleBudget("cold", iter); d.Action != ActionLimit || d.Limit != 10 {
 			t.Fatalf("iter %d: cold got %+v, want limit 10", iter, d)
 		}
 	}
 	// Resumes at iteration 5 with a doubled threshold.
-	if d := inst.RuleBudget("hot", 5, RuleStats{}); d.Action != ActionLimit || d.Limit != 20 {
+	if d := inst.RuleBudget("hot", 5); d.Action != ActionLimit || d.Limit != 20 {
 		t.Fatalf("iter 5: got %+v, want limit 20", d)
 	}
 	// Second ban is twice as long (iterations 6-11).
 	inst.RecordIter(5, []RuleIterStats{{Rule: "hot", Matched: 21, Applied: 20, Limited: true}})
 	for iter := 6; iter <= 11; iter++ {
-		if d := inst.RuleBudget("hot", iter, RuleStats{}); d.Action != ActionSkip {
+		if d := inst.RuleBudget("hot", iter); d.Action != ActionSkip {
 			t.Fatalf("iter %d: got %+v, want skip (second ban)", iter, d)
 		}
 	}
-	if d := inst.RuleBudget("hot", 12, RuleStats{}); d.Action != ActionLimit || d.Limit != 40 {
+	if d := inst.RuleBudget("hot", 12); d.Action != ActionLimit || d.Limit != 40 {
 		t.Fatalf("iter 12: got %+v, want limit 40", d)
 	}
 	// A skipped iteration's stats must not re-trigger the ban counters.
 	inst.RecordIter(6, []RuleIterStats{{Rule: "hot", Skipped: true}})
-	if d := inst.RuleBudget("hot", 12, RuleStats{}); d.Action != ActionLimit || d.Limit != 40 {
+	if d := inst.RuleBudget("hot", 12); d.Action != ActionLimit || d.Limit != 40 {
 		t.Fatalf("skipped iteration changed state: %+v", d)
 	}
 }
@@ -57,17 +57,17 @@ func TestBackoffBanSchedule(t *testing.T) {
 func TestBackoffRuleOverrides(t *testing.T) {
 	b := Backoff{Threshold: 100, Rules: map[string]BackoffRule{"comm": {Threshold: 5, BanLength: 1}}}
 	inst := b.New()
-	if d := inst.RuleBudget("comm", 1, RuleStats{}); d.Limit != 5 {
+	if d := inst.RuleBudget("comm", 1); d.Limit != 5 {
 		t.Fatalf("override threshold: got %+v", d)
 	}
-	if d := inst.RuleBudget("other", 1, RuleStats{}); d.Limit != 100 {
+	if d := inst.RuleBudget("other", 1); d.Limit != 100 {
 		t.Fatalf("default threshold: got %+v", d)
 	}
 	inst.RecordIter(1, []RuleIterStats{{Rule: "comm", Matched: 6}})
-	if d := inst.RuleBudget("comm", 2, RuleStats{}); d.Action != ActionSkip {
+	if d := inst.RuleBudget("comm", 2); d.Action != ActionSkip {
 		t.Fatalf("override ban: got %+v", d)
 	}
-	if d := inst.RuleBudget("comm", 3, RuleStats{}); d.Action != ActionLimit || d.Limit != 10 {
+	if d := inst.RuleBudget("comm", 3); d.Action != ActionLimit || d.Limit != 10 {
 		t.Fatalf("override ban length 1 should lift at iter 3: got %+v", d)
 	}
 }
@@ -78,20 +78,20 @@ func TestMatchLimitWasteBan(t *testing.T) {
 	m := MatchLimit{Limit: 50, Waste: map[string]float64{"noise": 1.0}, Probation: 2}
 	inst := m.New()
 	for iter := 1; iter <= 2; iter++ {
-		if d := inst.RuleBudget("noise", iter, RuleStats{}); d.Action != ActionLimit || d.Limit != 50 {
+		if d := inst.RuleBudget("noise", iter); d.Action != ActionLimit || d.Limit != 50 {
 			t.Fatalf("probation iter %d: got %+v", iter, d)
 		}
 	}
-	d := inst.RuleBudget("noise", 3, RuleStats{})
+	d := inst.RuleBudget("noise", 3)
 	if d.Action != ActionSkip || !d.Final {
 		t.Fatalf("post-probation: got %+v, want final skip", d)
 	}
-	if d := inst.RuleBudget("useful", 3, RuleStats{}); d.Action != ActionLimit || d.Limit != 50 {
+	if d := inst.RuleBudget("useful", 3); d.Action != ActionLimit || d.Limit != 50 {
 		t.Fatalf("unwasted rule: got %+v", d)
 	}
 	// A negative per-rule override lifts the cap entirely.
 	un := MatchLimit{Limit: 50, Rules: map[string]int{"big": -1}}.New()
-	if d := un.RuleBudget("big", 1, RuleStats{}); d.Action != ActionRun {
+	if d := un.RuleBudget("big", 1); d.Action != ActionRun {
 		t.Fatalf("uncapped override: got %+v", d)
 	}
 }
@@ -99,7 +99,7 @@ func TestMatchLimitWasteBan(t *testing.T) {
 // TestSimpleIsRun pins the default strategy to the unscheduled behavior.
 func TestSimpleIsRun(t *testing.T) {
 	inst := Simple{}.New()
-	if d := inst.RuleBudget("any", 7, RuleStats{Matched: 1 << 40}); d != (Decision{}) {
+	if d := inst.RuleBudget("any", 7); d != (Decision{}) {
 		t.Fatalf("simple must always run: got %+v", d)
 	}
 	if got := (Simple{}).Fingerprint(); got != "simple" {
@@ -159,11 +159,11 @@ func TestNewInstanceIsolated(t *testing.T) {
 	b := Backoff{Threshold: 10}
 	first := b.New()
 	first.RecordIter(1, []RuleIterStats{{Rule: "hot", Matched: 99}})
-	if d := first.RuleBudget("hot", 2, RuleStats{}); d.Action != ActionSkip {
+	if d := first.RuleBudget("hot", 2); d.Action != ActionSkip {
 		t.Fatalf("first run should have banned: %+v", d)
 	}
 	second := b.New()
-	if d := second.RuleBudget("hot", 2, RuleStats{}); d.Action != ActionLimit || d.Limit != 10 {
+	if d := second.RuleBudget("hot", 2); d.Action != ActionLimit || d.Limit != 10 {
 		t.Fatalf("state leaked across runs: %+v", d)
 	}
 }

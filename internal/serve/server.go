@@ -505,12 +505,10 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	cfg := j.work.cfg
-	// Correlate and observe: the run carries the leader's request ID
-	// (stamped on journal events and trace labels), records its engine
-	// spans into the leader's private recorder, and feeds the live gauges
-	// + watchdog through the serve-layer LiveSink.
+	// Observe: the run records its engine spans into the leader's private
+	// recorder (labeled with the leader's request ID at ingress) and feeds
+	// the live gauges + watchdog through the serve-layer LiveSink.
 	if j.obs != nil {
-		cfg.RequestID = j.obs.id
 		cfg.Recorder = j.obs.rec
 	}
 	cfg.Live = s.newLiveSink(j.obs)

@@ -214,8 +214,8 @@ func (q *queueAges) oldestAge() float64 {
 // requestObs is one request's observability context: its correlation ID,
 // its private span recorder (what the flight recorder stores), and the
 // watchdog's verdict. The singleflight leader's requestObs rides into the
-// worker, so the engine's spans, journal stamps, and live gauges all
-// carry the leader's ID.
+// worker, so the engine's spans and the watchdog's verdict land under the
+// leader's ID.
 type requestObs struct {
 	id  string
 	rec *obs.Recorder
@@ -251,8 +251,8 @@ func (o *requestObs) tripState() (bool, string) {
 	return o.tripped, o.tripReason
 }
 
-// reqIDKey carries the request ID through the handler context.
-type reqIDKey struct{}
+// requestIDKey carries the request ID through the handler context.
+type requestIDKey struct{}
 
 // newRequestID returns a fresh 16-hex-digit correlation ID.
 func newRequestID() string {
@@ -267,7 +267,7 @@ func newRequestID() string {
 
 // requestIDFrom returns the request ID the ingress middleware assigned.
 func requestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(reqIDKey{}).(string)
+	id, _ := ctx.Value(requestIDKey{}).(string)
 	return id
 }
 
@@ -304,7 +304,7 @@ func (s *Server) withRequestMeta(next http.Handler) http.Handler {
 		w.Header().Set("X-Request-Id", id)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
-		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), reqIDKey{}, id)))
+		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id)))
 		dur := time.Since(start)
 
 		attrs := []any{

@@ -40,13 +40,13 @@ func TestWatchdogTrips(t *testing.T) {
 		// against saturating workloads that flatten out.
 		Watchdog: WatchdogConfig{GrowthFactor: 1.5, GrowthWindow: 2},
 	})
-	const reqID = "watchdog-trip-req"
+	const tripID = "watchdog-trip-req"
 
-	resp, body, echoed := postOptimize(t, c.BaseURL, explosiveRequest("boom"), reqID)
+	resp, body, echoed := postOptimize(t, c.BaseURL, explosiveRequest("boom"), tripID)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("optimize: %d: %s", resp.StatusCode, body)
 	}
-	if echoed != reqID {
+	if echoed != tripID {
 		t.Fatalf("echoed ID %q", echoed)
 	}
 
@@ -64,27 +64,27 @@ func TestWatchdogTrips(t *testing.T) {
 	if !strings.Contains(logged, `"engine watchdog tripped"`) {
 		t.Fatalf("no watchdog warning in logs:\n%s", logged)
 	}
-	if !strings.Contains(logged, `"request_id":"`+reqID+`"`) || !strings.Contains(logged, "growth-rate") {
+	if !strings.Contains(logged, `"request_id":"`+tripID+`"`) || !strings.Contains(logged, "growth-rate") {
 		t.Errorf("watchdog warning missing request_id/reason:\n%s", logged)
 	}
 
 	// The flight record is flagged and its trace is a valid Chrome trace
 	// carrying the same correlation ID.
-	fr := s.flight.Get(reqID)
+	fr := s.flight.Get(tripID)
 	if fr == nil {
 		t.Fatal("no flight record for the tripped request")
 	}
 	if !fr.Tripped || !strings.HasPrefix(fr.TripReason, "growth-rate") {
 		t.Fatalf("flight record tripped=%v reason=%q", fr.Tripped, fr.TripReason)
 	}
-	code, _, trace := httpGet(t, c.BaseURL+"/debugz/flightz?id="+reqID)
+	code, _, trace := httpGet(t, c.BaseURL+"/debugz/flightz?id="+tripID)
 	if code != http.StatusOK {
 		t.Fatalf("GET flight trace: %d", code)
 	}
 	if n, err := obs.ValidateTrace(trace); err != nil || n == 0 {
 		t.Fatalf("flight trace invalid (%d events): %v", n, err)
 	}
-	if !bytes.Contains(trace, []byte(reqID)) {
+	if !bytes.Contains(trace, []byte(tripID)) {
 		t.Error("flight trace does not carry the request ID")
 	}
 
@@ -98,7 +98,7 @@ func TestWatchdogTrips(t *testing.T) {
 	}
 	var tripped bool
 	for _, r := range list.Records {
-		if r.ID == reqID && r.Tripped && strings.HasPrefix(r.TripReason, "growth-rate") {
+		if r.ID == tripID && r.Tripped && strings.HasPrefix(r.TripReason, "growth-rate") {
 			tripped = true
 		}
 	}
